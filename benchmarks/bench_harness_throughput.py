@@ -1,7 +1,7 @@
 """Microbenchmarks of the harness itself: per-sample cost of the
 compile → check → run → validate pipeline under each execution model,
 plus end-to-end throughput of the serial loop vs the repro.sched worker
-pool at jobs ∈ {1, 2, 4}.
+pool at jobs ∈ {1, 2, 4}, and MPI job wall time across the rank sweep.
 
 These are genuine wall-clock benchmarks (pytest-benchmark's bread and
 butter) and what bounds the cost of a full 420-prompt evaluation pass.
@@ -505,6 +505,136 @@ def test_dispatch_makespan_meets_baseline():
     assert best["lpt"] <= baseline["lpt_makespan"] * 1.2, (
         f"LPT makespan {best['lpt']:.3f}s regressed >20% past the "
         f"recorded {baseline['lpt_makespan']:.3f}s")
+
+
+# -- MPI rank scheduler: job wall time against rank count -----------------------
+
+#: The paper's MPI rank sweep (Figs. 5-6).
+_RANK_COUNTS = (1, 4, 16, 64, 256, 512)
+
+#: Two communication shapes.  ``allreduce`` is the axpy pattern that
+#: dominates the k=1 timing pass: each rank fills its block of a zeroed
+#: buffer, then one ``mpi_allreduce_array`` combines every rank's copy.
+#: ``ring`` passes a token around the ranks with point-to-point messages,
+#: so each send has exactly one waiting receiver to wake.
+_MPI_KERNELS = {
+    "allreduce": """
+kernel f(a: float, x: array<float>, y: array<float>) {
+    let rank = mpi_rank();
+    let size = mpi_size();
+    let chunk = (len(x) + size - 1) / size;
+    let lo = rank * chunk;
+    let hi = min(lo + chunk, len(x));
+    let part = alloc_float(len(y));
+    for (i in lo..hi) {
+        part[i] = a * x[i] + y[i];
+    }
+    mpi_allreduce_array(part, "sum");
+    for (i in 0..len(y)) {
+        y[i] = part[i];
+    }
+}
+""",
+    "ring": """
+kernel f(a: float, x: array<float>, y: array<float>) {
+    let rank = mpi_rank();
+    let size = mpi_size();
+    let token = a;
+    for (lap in 0..16) {
+        if (rank > 0) {
+            token = mpi_recv_float(rank - 1, lap);
+        }
+        mpi_send(token + x[rank % len(x)], (rank + 1) % size, lap);
+        if (rank == 0) {
+            token = mpi_recv_float(size - 1, lap);
+        }
+    }
+    y[0] = token;
+}
+""",
+}
+
+
+def _mpi_job(kernel):
+    """A callable running one MPI job of ``kernel`` on axpy-sized inputs."""
+    import numpy as np
+
+    from repro.harness import compile_sample
+    from repro.runtime import DEFAULT_MACHINE, Array, run_mpi
+
+    program, reason = compile_sample(_MPI_KERNELS[kernel], "mpi")
+    assert program is not None, reason
+    rng = np.random.default_rng(5)
+    args = [1.5, Array.from_numpy(rng.random(2048)),
+            Array.from_numpy(rng.random(2048))]
+
+    def job(nranks):
+        res = run_mpi(program, "f", args, nranks, DEFAULT_MACHINE)
+        assert res.error is None, res.error
+    return job
+
+
+def _rank_walls(kernel, repeats=10):
+    """Best-of-N host wall time of one job per rank count.  The counts
+    take turns within each round, so load on the host that comes and
+    goes lands on all of them alike and cancels out of their ratios."""
+    job = _mpi_job(kernel)
+    best = {n: float("inf") for n in _RANK_COUNTS}
+    for _ in range(repeats):
+        for n in _RANK_COUNTS:
+            t0 = time.perf_counter()
+            job(n)
+            best[n] = min(best[n], time.perf_counter() - t0)
+    return best
+
+
+@pytest.mark.parametrize("nranks", _RANK_COUNTS)
+@pytest.mark.parametrize("kernel", sorted(_MPI_KERNELS))
+def test_mpi_rank_count_throughput(benchmark, kernel, nranks):
+    """Host wall time of one MPI job per rank count — the numbers behind
+    the committed rank-scaling baseline."""
+    benchmark.pedantic(_mpi_job(kernel), args=(nranks,),
+                       rounds=2, iterations=1, warmup_rounds=0)
+
+
+def test_mpi_rank_scaling_meets_baseline():
+    """The CI perf-regression gate for the MPI rank scheduler: doubling
+    256 ranks to 512 must cost no more than 20% over the r512/r256 wall
+    ratio recorded in BENCH_harness.json (or over 2.0, linear, if that
+    is larger), for either kernel.  A ratio of two best-of-10 timings on
+    the same host, so portable across machines.  Baton passing keeps the
+    ratio near 2; waking every parked rank on each send made the ring's
+    ratio ~5.
+
+    Re-record after a deliberate change with::
+
+        REPRO_BENCH_RECORD=1 PYTHONPATH=src python -m pytest \
+            benchmarks/bench_harness_throughput.py -k mpi_rank_scaling
+    """
+    walls = {kernel: _rank_walls(kernel) for kernel in sorted(_MPI_KERNELS)}
+    ratios = {kernel: w[512] / w[256] for kernel, w in walls.items()}
+    print("\nMPI job wall (s) by rank count:")
+    for kernel, w in walls.items():
+        cells = "  ".join(f"r{n} {t:.3f}" for n, t in w.items())
+        print(f"  {kernel:10s} {cells}  r512/r256 {ratios[kernel]:.2f}")
+    if os.environ.get("REPRO_BENCH_RECORD"):
+        _record_baseline(mpi_rank_scaling={
+            "comment": "host wall time of one MPI job (2048-element "
+                       "inputs) per rank count, and the r512/r256 ratio "
+                       "the CI gate compares",
+            "walls": {k: {str(n): round(t, 4) for n, t in w.items()}
+                      for k, w in walls.items()},
+            "r512_over_r256": {k: round(r, 2) for k, r in ratios.items()},
+        })
+        return
+    baseline = json.loads(_BASELINE_PATH.read_text())["mpi_rank_scaling"]
+    for kernel, ratio in ratios.items():
+        # 2.0 is linear: a recording that happened to land below it does
+        # not tighten the gate past 20% over linear
+        recorded = max(2.0, baseline["r512_over_r256"][kernel])
+        assert ratio <= recorded * 1.2, (
+            f"{kernel}: r512/r256 {ratio:.2f} regressed >20% past "
+            f"{recorded:.2f}")
 
 
 def test_scheduler_beats_serial():

@@ -81,7 +81,7 @@ class _Scope:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` at named injection points.
 
-    Thread-safe: MPI rank threads and GPU launch loops fire concurrently.
+    Thread-safe: the serve shards fire from their own threads.
     The event log records every decision at a point that *has rules*, in
     a canonical order (see :meth:`canonical_log`), so two runs can be
     compared without being sensitive to thread interleaving.

@@ -1,33 +1,45 @@
 """MPI runtime: executes a MiniPar program on N simulated ranks.
 
 Each rank runs the compiled kernel on its own OS thread with a private
-:class:`ExecCtx` (its local clock, in scaled op units).  Ranks interact
-only through :class:`CommWorld`:
+:class:`ExecCtx` (its local clock, in scaled op units).  The threads only
+park Python stacks: a baton serializes them, so exactly one rank runs at
+a time.  Ranks interact only through :class:`CommWorld`:
 
 * point-to-point: buffered sends append to per-(src, dst, tag) FIFO
-  queues stamped with an arrival time from the alpha-beta network model;
-  receives block until a matching message exists, then advance the local
-  clock to ``max(now, arrival)``;
+  queues stamped with an arrival time from the alpha-beta network model
+  and wake the receiver if it is parked on that channel; receives block
+  until a matching message exists, then advance the local clock to
+  ``max(now, arrival)``;
 * collectives: call-sequence-matched rendezvous — every rank's k-th
   collective must agree on (kind, root, op) or the run aborts with
   :class:`MPIUsageError` (the moral equivalent of MPI's undefined
-  behaviour on mismatched collectives, surfaced deterministically);
-* deadlock: all live ranks blocked with nothing deliverable ⇒
-  :class:`DeadlockError` on every rank.  A rank that *finishes* while
-  others still wait for it also triggers detection.
+  behaviour on mismatched collectives, surfaced deterministically).  The
+  last rank to arrive combines the values and wakes the others;
+* scheduling: a blocking receive or collective records what it waits on,
+  parks its rank on the rank's own lock and hands the baton to the
+  lowest-numbered runnable rank.  Sends never yield;
+* deadlock: no runnable rank while some rank is unfinished ⇒
+  :class:`DeadlockError`, naming every blocked rank and what it waits on.
 
-Message values are copied on send (MPI has no shared memory), and all
-message matching is (src, tag)-deterministic, so results do not depend on
-thread scheduling.  Simulated time = max over ranks of the final clock.
+The baton makes the whole job a deterministic function of its inputs:
+which rank runs next never depends on the OS, so neither do results,
+simulated clocks, the order fault points fire in, nor which failure is
+reported (the first abort in baton order wins).  Simulated time = max
+over ranks of the final clock.
 """
 
 from __future__ import annotations
 
+import _thread
+import heapq
+import itertools
 import threading
 import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..faults import inject
 from ..lang.errors import DeadlockError, MiniParError, MPIUsageError, RuntimeFailure
@@ -38,6 +50,8 @@ from .runtimes import BaseRuntime, OpenMPRuntime, fold, run_loop_serial
 from .values import Array, deep_copy_value, nbytes
 
 _SCALAR_COLLECTIVE_BYTES = 8
+#: blocked ranks a deadlock message lists before summarising the rest
+_DEADLOCK_SHOWN = 8
 
 
 class _Abort(MiniParError):
@@ -54,73 +68,184 @@ class _Collective:
     results: Dict[int, object] = field(default_factory=dict)
 
 
+_NUMPY_KINDS = {"float": (float, np.float64), "int": (int, np.int64)}
+_INT64_LIMIT = 2 ** 63
+
+
+def fold_rows(op: str, rows: Sequence[List], elem: str) -> Optional[List]:
+    """Element-wise left fold of equal-length ``rows`` in numpy.
+
+    Folds row by row (``acc = acc + row``; ``np.where`` for min/max), the
+    same operations in the same order as :func:`fold` on each column, so
+    the result is bit-identical to it.  Returns ``None`` where numpy could
+    differ: an element whose Python type is not ``elem``'s kind, an int
+    sum that could leave int64 range, or an int product.
+    """
+    kind = _NUMPY_KINDS.get(elem)
+    if kind is None or (op == "prod" and elem == "int"):
+        return None
+    py_type, dtype = kind
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {py_type}:
+        return None
+    int_sum = op == "sum" and elem == "int"
+    bound = 0
+    acc = None
+    # Python floats overflow to inf and go NaN silently; so must numpy
+    with np.errstate(all="ignore"):
+        for data in rows:
+            try:
+                row = np.array(data, dtype=dtype)
+            except OverflowError:       # a Python int beyond int64
+                return None
+            if int_sum and row.size:
+                # every partial sum stays below the sum of the rows' maxima
+                bound += max(-int(row.min()), int(row.max()))
+                if bound >= _INT64_LIMIT:
+                    return None
+            if acc is None:
+                acc = row
+            elif op == "sum":
+                acc = acc + row
+            elif op == "prod":
+                acc = acc * row
+            elif op == "min":
+                acc = np.where(acc < row, acc, row)
+            else:
+                acc = np.where(acc > row, acc, row)
+    return acc.tolist()
+
+
 class CommWorld:
-    """Shared state connecting the rank threads of one MPI job."""
+    """Shared state connecting the rank threads of one MPI job.
+
+    Only the baton holder touches the message queues and collectives.
+    ``mutex`` guards the scheduler state (``runnable``, ``waiting``,
+    ``unfinished``, ``failure``), which the host watchdog may also touch
+    from outside the baton.
+    """
 
     def __init__(self, nranks: int, machine: Machine, work_scale: float):
         self.nranks = nranks
         self.machine = machine
         self.scale = work_scale
-        self.cond = threading.Condition()
         self.queues: Dict[Tuple[int, int, int], deque] = defaultdict(deque)
-        self.blocked = 0
-        self.alive = nranks
-        self.failure: Optional[BaseException] = None
         self.collectives: Dict[int, _Collective] = {}
-        self.waiters: Dict[int, object] = {}
-        self._next_waiter = 0
-
-    # All methods below must be called with self.cond held. ------------------
+        self.failure: Optional[BaseException] = None
+        self.mutex = threading.Lock()
+        #: one lock per rank, held while the rank is parked off the baton
+        self.park = [threading.Lock() for _ in range(nranks)]
+        for lock in self.park:
+            lock.acquire()
+        self.runnable: List[int] = list(range(nranks))   # a heap
+        self.launched = [False] * nranks
+        self.launch: Optional[Callable[[int], None]] = None
+        self.waiting: Dict[int, Tuple] = {}   # parked rank -> what it waits on
+        self.unfinished = nranks
+        self.done = threading.Event()
 
     def _units(self, seconds: float) -> float:
         return seconds / self.machine.cpu.cycle
-
-    def abort(self, exc: BaseException) -> None:
-        if self.failure is None:
-            self.failure = exc
-        self.cond.notify_all()
 
     def check_abort(self) -> None:
         if self.failure is not None:
             raise _Abort()
 
-    def _all_stuck(self) -> bool:
-        """True when no registered waiter's predicate is satisfiable.
+    # -- the baton -------------------------------------------------------------
+    # Methods named _x must be called with self.mutex held.
 
-        A blocked rank whose predicate just became true still counts in
-        ``blocked`` until it wakes, so deadlock is only declared after
-        re-evaluating every waiter's condition under the lock.
-        """
-        return all(not p() for p in self.waiters.values())
+    def _pass_baton(self) -> None:
+        """Resume the lowest-numbered runnable rank, launching its thread
+        on its first turn; with none runnable while ranks still wait, the
+        job is deadlocked."""
+        if not self.runnable and self.waiting:
+            self.failure = DeadlockError(self._deadlock_message())
+            self._release_waiters()
+        while self.runnable:
+            r = heapq.heappop(self.runnable)
+            if self.launched[r]:
+                self.park[r].release()
+                return
+            if self.failure is None:
+                self.launched[r] = True
+                self.launch(r)
+                return
+            self.unfinished -= 1        # never ran, so nothing to unwind
+        if self.unfinished == 0:
+            self.done.set()
 
-    def wait_for(self, predicate) -> None:
-        """Block until predicate() or the world aborts; detects deadlock."""
-        self.blocked += 1
-        wid = self._next_waiter
-        self._next_waiter += 1
-        self.waiters[wid] = predicate
-        try:
-            while not predicate():
-                self.check_abort()
-                if self.blocked >= self.alive and self._all_stuck():
-                    self.abort(DeadlockError(
-                        f"deadlock: all {self.alive} live rank(s) blocked with "
-                        "no deliverable messages"
-                    ))
-                    raise _Abort()
-                self.cond.wait(timeout=10.0)
+    def _release_waiters(self) -> None:
+        """After a failure every parked rank becomes runnable, to unwind."""
+        for r in self.waiting:
+            heapq.heappush(self.runnable, r)
+        self.waiting.clear()
+
+    def _deadlock_message(self) -> str:
+        blocked = sorted(self.waiting.items())
+        parts = [f"rank {r} in {self._describe(what)}"
+                 for r, what in blocked[:_DEADLOCK_SHOWN]]
+        if len(blocked) > _DEADLOCK_SHOWN:
+            parts.append(f"and {len(blocked) - _DEADLOCK_SHOWN} more")
+        finished = self.nranks - self.unfinished
+        return (f"deadlock: no runnable rank; {len(blocked)} of "
+                f"{self.nranks} rank(s) blocked, {finished} finished: "
+                + "; ".join(parts))
+
+    def _describe(self, what: Tuple) -> str:
+        if what[0] == "recv":
+            return f"recv(src={what[1]}, tag={what[2]})"
+        c = self.collectives[what[1]]
+        return (f"collective #{what[1]} {c.signature[0]} "
+                f"({len(c.values)} of {self.nranks} arrived)")
+
+    def start(self, launch: Callable[[int], None]) -> None:
+        """Hand the baton to rank 0.  ``launch(r)`` starts rank ``r``'s
+        thread when the baton first reaches it."""
+        self.launch = launch
+        with self.mutex:
+            self._pass_baton()
+
+    def block(self, rank: int, what: Tuple) -> None:
+        """Park ``rank`` (the baton holder) until a peer wakes it on
+        ``what``, handing the baton on meanwhile."""
+        with self.mutex:
             self.check_abort()
-        finally:
-            del self.waiters[wid]
-            self.blocked -= 1
+            self.waiting[rank] = what
+            self._pass_baton()
+        self.park[rank].acquire()
+        self.check_abort()
+
+    def wake(self, rank: int, what: Tuple) -> None:
+        """Make ``rank`` runnable if it is parked waiting on ``what``."""
+        with self.mutex:
+            if self.waiting.get(rank) == what:
+                del self.waiting[rank]
+                heapq.heappush(self.runnable, rank)
+
+    def abort(self, exc: BaseException) -> None:
+        """Fail the job with ``exc`` unless an earlier failure won."""
+        with self.mutex:
+            if self.failure is None:
+                self.failure = exc
+            self._release_waiters()
+
+    def abort_wedged(self, exc: BaseException) -> None:
+        """Host watchdog: the baton holder is wedged, so resume every
+        other rank at once and let them unwind side by side."""
+        with self.mutex:
+            if self.unfinished == 0:
+                return              # finished just as the timeout fired
+            if self.failure is None:
+                self.failure = exc
+            self._release_waiters()
+            for r in self.runnable:
+                if self.launched[r]:
+                    self.park[r].release()
+            self.runnable.clear()
 
     def finish_rank(self) -> None:
-        self.alive -= 1
-        if 0 < self.alive <= self.blocked and self._all_stuck():
-            self.abort(DeadlockError(
-                "deadlock: remaining rank(s) blocked after peers finished"
-            ))
-        self.cond.notify_all()
+        with self.mutex:
+            self.unfinished -= 1
+            self._pass_baton()
 
 
 class MPIRankRuntime(BaseRuntime):
@@ -167,47 +292,43 @@ class MPIRankRuntime(BaseRuntime):
         dest = self._validate_rank(dest, "destination rank")
         size = nbytes(value) * ctx.work_scale
         travel = w._units(w.machine.net.point_to_point(int(size), self.rank, dest))
-        with w.cond:
-            w.check_abort()
-            now = self._clock(ctx)
-            # sender pays an injection overhead; message lands after travel
-            ctx.extra_units += 0.3 * travel
-            if ctx.prof is not None:
-                ctx.prof.add_extra("message", 0.3 * travel)
-                ctx.prof.count("messages")
-                ctx.prof.count("message_bytes", float(size))
-            msg = (deep_copy_value(value), now + travel)
-            q = w.queues[(self.rank, dest, tag)]
-            if inject.ACTIVE is not None:
-                rule = inject.ACTIVE.fire(
-                    "runtime.mpi.msg", f"{self.rank}->{dest}#t{tag}")
-                if rule is not None:
-                    if rule.action == "drop":
-                        # lost on the wire: the receiver blocks until the
-                        # deadlock detector or host watchdog intervenes
-                        w.cond.notify_all()
-                        return
-                    if rule.action == "dup":
-                        q.append(msg)
-                        q.append((deep_copy_value(value), now + travel))
-                        w.cond.notify_all()
-                        return
-                    if rule.action == "reorder":
-                        # delivered ahead of earlier traffic on this channel
-                        q.appendleft(msg)
-                        w.cond.notify_all()
-                        return
+        w.check_abort()
+        now = self._clock(ctx)
+        # sender pays an injection overhead; message lands after travel
+        ctx.extra_units += 0.3 * travel
+        if ctx.prof is not None:
+            ctx.prof.add_extra("message", 0.3 * travel)
+            ctx.prof.count("messages")
+            ctx.prof.count("message_bytes", float(size))
+        msg = (deep_copy_value(value), now + travel)
+        q = w.queues[(self.rank, dest, tag)]
+        action = None
+        if inject.ACTIVE is not None:
+            rule = inject.ACTIVE.fire(
+                "runtime.mpi.msg", f"{self.rank}->{dest}#t{tag}")
+            if rule is not None:
+                action = rule.action
+        if action == "drop":
+            # lost on the wire: the receiver stays parked until the
+            # deadlock detector or host watchdog intervenes
+            return
+        if action == "reorder":
+            # delivered ahead of earlier traffic on this channel
+            q.appendleft(msg)
+        else:
             q.append(msg)
-            w.cond.notify_all()
+        if action == "dup":
+            q.append((deep_copy_value(value), now + travel))
+        w.wake(dest, ("recv", self.rank, tag))
 
     def _recv(self, ctx: ExecCtx, src, tag):
         w = self.world
         src = self._validate_rank(src, "source rank")
-        key = (src, self.rank, tag)
-        with w.cond:
-            q = w.queues[key]
-            w.wait_for(lambda: len(q) > 0)
-            value, arrival = q.popleft()
+        w.check_abort()
+        q = w.queues[(src, self.rank, tag)]
+        while not q:
+            w.block(self.rank, ("recv", src, tag))
+        value, arrival = q.popleft()
         self._advance_to(ctx, arrival, "message")
         ctx.extra_units += w._units(w.machine.net.alpha) * 0.3
         if ctx.prof is not None:
@@ -242,34 +363,42 @@ class MPIRankRuntime(BaseRuntime):
 
     def _collective(self, ctx: ExecCtx, kind: str, signature: Tuple, value,
                     payload_bytes: float):
-        """Rendezvous with every other rank's matching collective call."""
+        """Rendezvous with every other rank's matching collective call.
+
+        Contributions are not copied: a rank stays parked from its arrival
+        until the last arrival has combined them, and no rank's result
+        aliases another rank's contribution.
+        """
         w = self.world
         seq = self.coll_seq
         self.coll_seq += 1
-        with w.cond:
-            w.check_abort()
-            c = w.collectives.get(seq)
-            if c is None:
-                c = w.collectives[seq] = _Collective(signature=signature)
-            elif c.signature != signature:
-                w.abort(MPIUsageError(
-                    f"mismatched collectives at call #{seq}: rank {self.rank} "
-                    f"called {signature}, another rank called {c.signature}"
-                ))
-                raise _Abort()
-            c.values[self.rank] = value
-            c.arrivals[self.rank] = self._clock(ctx)
-            if len(c.values) == w.nranks:
-                comm = w._units(w.machine.net.collective(
-                    kind, int(payload_bytes * ctx.work_scale), w.nranks
-                ))
-                c.completion = max(c.arrivals.values()) + comm
-                c.results = self._combine(kind, signature, c.values)
-                c.done = True
-                w.cond.notify_all()
-            else:
-                w.wait_for(lambda: c.done)
-            result = c.results.get(self.rank)
+        w.check_abort()
+        c = w.collectives.get(seq)
+        if c is None:
+            c = w.collectives[seq] = _Collective(signature=signature)
+        elif c.signature != signature:
+            w.abort(MPIUsageError(
+                f"mismatched collectives at call #{seq}: rank {self.rank} "
+                f"called {signature}, another rank called {c.signature}"
+            ))
+            raise _Abort()
+        c.values[self.rank] = value
+        c.arrivals[self.rank] = self._clock(ctx)
+        if len(c.values) == w.nranks:
+            comm = w._units(w.machine.net.collective(
+                kind, int(payload_bytes * ctx.work_scale), w.nranks
+            ))
+            c.completion = max(c.arrivals.values()) + comm
+            c.results = self._combine(kind, signature, c.values)
+            c.done = True
+            del w.collectives[seq]      # every rank has arrived
+            for r in c.values:
+                if r != self.rank:
+                    w.wake(r, ("collective", seq))
+        else:
+            while not c.done:
+                w.block(self.rank, ("collective", seq))
+        result = c.results.get(self.rank)
         self._advance_to(ctx, c.completion, "collective")
         if ctx.prof is not None:
             ctx.prof.count("collectives")
@@ -309,17 +438,17 @@ class MPIRankRuntime(BaseRuntime):
             op = signature[2] if tag == "reduce_array" else signature[1]
             arrays: List[Array] = ordered  # type: ignore[assignment]
             self._check_same_length(arrays, tag)
-            length = len(arrays[0].data)
             proto = arrays[0]
-            out_arr = Array([0] * length, proto.elem, proto.shape)
-            is_int = out_arr.elem == "int"
-            for j in range(length):
-                out_arr.data[j] = fold(op, [a.data[j] for a in arrays],
-                                       as_int=is_int)
+            rows = [a.data for a in arrays]
+            data = fold_rows(op, rows, proto.elem)
+            if data is None:
+                data = [fold(op, column, as_int=proto.elem == "int")
+                        for column in zip(*rows)]
+            out_arr = Array(data, proto.elem, proto.shape)
             if tag == "reduce_array":
                 root = signature[1]
                 return {r: (out_arr if r == root else None) for r in range(n)}
-            return {r: (out_arr if r == 0 else out_arr.copy()) for r in range(n)}
+            return {r: out_arr for r in range(n)}
         if tag in ("gather", "allgather"):
             chunks: List[Array] = ordered  # type: ignore[assignment]
             self._check_same_length(chunks, tag)
@@ -383,7 +512,7 @@ class MPIRankRuntime(BaseRuntime):
         root = self._validate_rank(root, "root rank")
         result = self._collective(
             ctx, "reduce", ("reduce_array", root, op, len(arr.data)),
-            arr.copy(), nbytes(arr),
+            arr, nbytes(arr),
         )
         if self.rank == root:
             assert isinstance(result, Array)
@@ -393,7 +522,7 @@ class MPIRankRuntime(BaseRuntime):
     def mpi_allreduce_array(self, ctx: ExecCtx, arr: Array, op) -> None:
         result = self._collective(
             ctx, "allreduce", ("allreduce_array", op, len(arr.data)),
-            arr.copy(), nbytes(arr),
+            arr, nbytes(arr),
         )
         assert isinstance(result, Array)
         arr.data[:] = result.data
@@ -421,7 +550,7 @@ class MPIRankRuntime(BaseRuntime):
     def mpi_gather_array(self, ctx: ExecCtx, local: Array, root) -> Array:
         root = self._validate_rank(root, "root rank")
         result = self._collective(
-            ctx, "gather", ("gather", root, len(local.data)), local.copy(),
+            ctx, "gather", ("gather", root, len(local.data)), local,
             nbytes(local) * self.world.nranks,
         )
         if self.rank != root:
@@ -432,7 +561,7 @@ class MPIRankRuntime(BaseRuntime):
 
     def mpi_allgather_array(self, ctx: ExecCtx, local: Array) -> Array:
         result = self._collective(
-            ctx, "allgather", ("allgather", len(local.data)), local.copy(),
+            ctx, "allgather", ("allgather", len(local.data)), local,
             nbytes(local) * self.world.nranks,
         )
         assert isinstance(result, Array)
@@ -508,10 +637,11 @@ def run_mpi(
     is replicated on every rank); rank 0's copies are returned for
     correctness checking.
 
-    ``watchdog_timeout`` bounds the host-side join on each rank thread:
-    a rank that is wedged (stalled outside the communication layer, so
-    the deadlock detector cannot see it) aborts the whole job with a
-    ``RuntimeFailure`` once the timeout elapses.
+    ``watchdog_timeout`` bounds the host-side wait for the whole job: a
+    rank that is wedged (stalled outside the communication layer, so the
+    deadlock detector cannot see it) aborts the job with a
+    ``RuntimeFailure`` once the timeout elapses, even while it holds the
+    baton.
     """
     world = CommWorld(nranks, machine, work_scale)
     rank_args: List[List[object]] = [
@@ -531,47 +661,38 @@ def run_mpi(
         ctxs.append(ctx)
 
     returns: List[object] = [None] * nranks
-    errors: List[Optional[BaseException]] = [None] * nranks
 
     def rank_main(r: int) -> None:
         try:
             if inject.ACTIVE is not None:
                 rule = inject.ACTIVE.fire("runtime.mpi.stall", f"rank{r}")
                 if rule is not None:
-                    # wedged outside the communication layer: invisible to
-                    # the deadlock detector, only the watchdog can act
+                    # wedged outside the communication layer, baton in
+                    # hand: only the host watchdog can act
                     time.sleep(rule.param if rule.param > 0 else 2.0)
-                    with world.cond:
-                        world.check_abort()
+                    world.check_abort()
             returns[r] = program.run_kernel(kernel, ctxs[r], rank_args[r])
         except _Abort:
-            errors[r] = None
+            pass
         except BaseException as exc:  # noqa: BLE001 - report any failure
-            errors[r] = exc
-            with world.cond:
-                world.abort(exc)
+            world.abort(exc)
         finally:
-            with world.cond:
-                world.finish_rank()
+            world.finish_rank()
 
     if nranks == 1:
+        world.start(lambda r: None)     # rank 0 runs inline, right here
         rank_main(0)
     else:
-        threads = [
-            threading.Thread(target=rank_main, args=(r,), daemon=True)
-            for r in range(nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=watchdog_timeout)
-            if t.is_alive():
-                with world.cond:
-                    world.abort(RuntimeFailure("MPI job wedged (host watchdog)"))
+        # the low-level start: no handshake with the new thread (it runs
+        # as soon as its launcher parks), and no rank thread is joined
+        world.start(lambda r: _thread.start_new_thread(rank_main, (r,)))
+        if not world.done.wait(timeout=watchdog_timeout):
+            world.abort_wedged(RuntimeFailure("MPI job wedged (host watchdog)"))
+    # break the world -> rank_main -> ctxs -> world cycle, so the job's
+    # arrays are freed now rather than at some later garbage collection
+    world.launch = None
 
     failure = world.failure
-    if failure is None:
-        failure = next((e for e in errors if e is not None), None)
     if failure is not None:
         return MPIRunResult(ret=None, args=rank_args[0], sim_seconds=0.0,
                             error=failure)

@@ -2,6 +2,8 @@
 MPI message perturbation, the wedged-rank host watchdog, GPU kernel
 aborts, OpenMP straggler stalls, and the per-ExecCtx memory budget."""
 
+import time
+
 import pytest
 
 from repro.faults import FaultInjected, FaultPlan, FaultRule, injector
@@ -56,6 +58,9 @@ class TestMPIMessageFaults:
             res = run_mpi(compiled(SEND_RECV), "f", [farr([0])], 2,
                           DEFAULT_MACHINE)
         assert isinstance(res.error, DeadlockError)
+        assert str(res.error) == (
+            "deadlock: no runnable rank; 1 of 2 rank(s) blocked, 1 finished: "
+            "rank 0 in recv(src=1, tag=0)")
 
     def test_duplicated_message_leaves_result_intact(self):
         rule = FaultRule(point="runtime.mpi.msg", action="dup",
@@ -106,6 +111,27 @@ class TestHostWatchdog:
                           DEFAULT_MACHINE, watchdog_timeout=0.2)
         assert isinstance(res.error, RuntimeFailure)
         assert "watchdog" in str(res.error)
+
+    def test_stalled_rank_zero_holding_the_baton_trips_the_watchdog(self):
+        # rank 0 takes the baton first and wedges before any peer has run
+        rule = FaultRule(point="runtime.mpi.stall", action="stall",
+                         match="rank0", param=2.0)
+        t0 = time.perf_counter()
+        with injector(_plan(rule)):
+            res = run_mpi(compiled(REDUCE), "f", [farr([1, 2, 3, 4])], 4,
+                          DEFAULT_MACHINE, watchdog_timeout=0.2)
+        assert time.perf_counter() - t0 < 1.0
+        assert isinstance(res.error, RuntimeFailure)
+        assert "watchdog" in str(res.error)
+
+    def test_stall_fires_in_baton_order(self):
+        rule = FaultRule(point="runtime.mpi.stall", action="stall",
+                         param=0.001)
+        with injector(_plan(rule)) as inj:
+            res = run_mpi(compiled(REDUCE), "f", [farr([1, 2, 3, 4])], 4,
+                          DEFAULT_MACHINE)
+        assert res.error is None and res.ret == 10.0
+        assert [e.key for e in inj.events] == [f"rank{r}" for r in range(4)]
 
     def test_short_stall_inside_the_timeout_recovers(self):
         rule = FaultRule(point="runtime.mpi.stall", action="stall",

@@ -1,5 +1,7 @@
 """Tests for the MPI and hybrid runtimes."""
 
+import sys
+
 import pytest
 
 from repro.lang.errors import DeadlockError, FuelExhausted, MPIUsageError
@@ -378,3 +380,127 @@ class TestMPITimeAndFailures:
     def test_single_rank_runs_inline(self):
         res = mpi_run(BLOCK_SUM, "f", [farr(range(64))], 1)
         assert res.ret == sum(range(64))
+
+
+class TestBatonScheduler:
+    """One rank runs at a time, handing the baton to the lowest-numbered
+    runnable rank, so every outcome — failures included — is a function
+    of the program alone."""
+
+    def test_cyclic_deadlock_names_every_blocked_rank(self):
+        src = """
+        kernel f(x: array<float>) -> float {
+            return mpi_recv_float((mpi_rank() + 1) % mpi_size(), 7);
+        }
+        """
+        res = mpi_run(src, "f", [farr([1])], 3)
+        assert str(res.error) == (
+            "deadlock: no runnable rank; 3 of 3 rank(s) blocked, 0 finished: "
+            "rank 0 in recv(src=1, tag=7); rank 1 in recv(src=2, tag=7); "
+            "rank 2 in recv(src=0, tag=7)")
+
+    def test_collective_deadlock_counts_arrivals(self):
+        src = """
+        kernel f(x: array<float>) -> float {
+            if (mpi_rank() != 2) {
+                mpi_barrier();
+            }
+            return 0.0;
+        }
+        """
+        res = mpi_run(src, "f", [farr([1])], 4)
+        assert isinstance(res.error, DeadlockError)
+        assert str(res.error) == (
+            "deadlock: no runnable rank; 3 of 4 rank(s) blocked, 1 finished: "
+            "rank 0 in collective #0 barrier (3 of 4 arrived); "
+            "rank 1 in collective #0 barrier (3 of 4 arrived); "
+            "rank 3 in collective #0 barrier (3 of 4 arrived)")
+
+    def test_large_deadlock_message_is_bounded(self):
+        src = """
+        kernel f(x: array<float>) -> float {
+            return mpi_recv_float((mpi_rank() + 1) % mpi_size(), 0);
+        }
+        """
+        res = mpi_run(src, "f", [farr([1])], 64)
+        msg = str(res.error)
+        assert msg.startswith("deadlock: no runnable rank; 64 of 64 rank(s)")
+        assert msg.count(" in recv(") == 8 and msg.endswith("; and 56 more")
+
+    def test_first_abort_in_baton_order_wins(self):
+        # every rank fails, each with its own message; rank 0 runs first
+        src = """
+        kernel f(x: array<float>) -> float {
+            mpi_send(1.0, 100 + mpi_rank(), 0);
+            return 0.0;
+        }
+        """
+        messages = {str(mpi_run(src, "f", [farr([0])], 8).error)
+                    for _ in range(10)}
+        assert messages == {
+            "invalid destination rank 100 for communicator of size 8"}
+
+    def test_mismatched_collective_message_is_deterministic(self):
+        src = """
+        kernel f(x: array<float>) -> float {
+            if (mpi_rank() == 2) {
+                return mpi_allreduce_float(1.0, "max");
+            }
+            return mpi_allreduce_float(1.0, "sum");
+        }
+        """
+        messages = {str(mpi_run(src, "f", [farr([0])], 4).error)
+                    for _ in range(10)}
+        assert messages == {
+            "mismatched collectives at call #0: rank 2 called "
+            "('allreduce', 'max'), another rank called ('allreduce', 'sum')"}
+
+    def test_deadlock_waits_for_every_runnable_rank(self):
+        # rank 0 parks first; the peers still run to completion before
+        # the scheduler finds nothing runnable
+        src = """
+        kernel f(x: array<float>) -> float {
+            if (mpi_rank() == 0) {
+                return mpi_recv_int(0, 0);
+            }
+            return 0.0;
+        }
+        """
+        res = mpi_run(src, "f", [farr([0])], 4)
+        assert str(res.error) == (
+            "deadlock: no runnable rank; 1 of 4 rank(s) blocked, 3 finished: "
+            "rank 0 in recv(src=0, tag=0)")
+
+    def test_stress_with_a_tiny_switch_interval(self):
+        # more ranks than cores, preempted as often as the interpreter
+        # allows: a lost wake-up would deadlock, a lost update would
+        # change the sums or the clocks
+        src = """
+        kernel f(x: array<float>) -> float {
+            let r = mpi_rank();
+            let n = mpi_size();
+            let token = 0.0;
+            for (lap in 0..3) {
+                if (r > 0) {
+                    token = mpi_recv_float(r - 1, lap);
+                }
+                mpi_send(token + 1.0, (r + 1) % n, lap);
+                if (r == 0) {
+                    token = mpi_recv_float(n - 1, lap);
+                }
+                mpi_allreduce_array(x, "sum");
+            }
+            return token + mpi_allreduce_float(x[0], "max");
+        }
+        """
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [mpi_run(src, "f", [farr([1, 2])], 64) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(old)
+        for res in runs:
+            assert res.error is None
+            assert res.ret == 3 * 64 + 64.0 ** 3
+            assert res.args[0].data == [64.0 ** 3, 2 * 64.0 ** 3]
+        assert len({res.sim_seconds for res in runs}) == 1
